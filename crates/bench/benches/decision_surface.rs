@@ -1,12 +1,15 @@
 //! Exact Mamdani vs compiled decision surface, per admission decision.
 //!
 //! The compiled backend answers from a precomputed lattice by multilinear
-//! interpolation, so a full FACS cascade collapses from two
-//! O(rules × resolution) inferences to ~16 array reads. The acceptance
-//! bar for this bench (EXPERIMENTS.md records measured numbers) is a
-//! ≥ 10× per-decision speedup of `facs_cascade_compiled` over
-//! `facs_cascade_exact`; in practice it lands around three orders of
-//! magnitude.
+//! interpolation, so a full FACS cascade collapses from two exact Mamdani
+//! inferences to ~16 array reads. The acceptance bar for this bench
+//! (EXPERIMENTS.md records measured numbers) is a ≥ 10× per-decision
+//! speedup of `facs_cascade_compiled` over `facs_cascade_exact`.
+//!
+//! The `surface_compile_*_33pts` routines time the one-time cost the
+//! compiled backend pays at start-up: 33³ exact inferences per FLC.
+//! They call [`CompiledSurface::compile`] directly, bypassing the
+//! per-process surface cache, so every iteration is a real compile.
 //!
 //! `cargo bench -p facs-bench --bench decision_surface` to measure;
 //! `cargo bench -p facs-bench --bench decision_surface -- --test` (CI)
@@ -19,7 +22,7 @@ use facs::{FacsConfig, FacsController, Flc1, Flc2};
 use facs_cac::{
     BandwidthUnits, CallId, CallKind, CallRequest, CellSnapshot, MobilityInfo, ServiceClass,
 };
-use facs_fuzzy::{BackendKind, InferenceConfig};
+use facs_fuzzy::{BackendKind, CompiledSurface, InferenceConfig, DEFAULT_LATTICE_POINTS};
 
 fn bench_backends(c: &mut Criterion) {
     let flc1_exact = Flc1::new().unwrap();
@@ -53,9 +56,14 @@ fn bench_backends(c: &mut Criterion) {
     c.bench_function("facs_cascade_compiled", |b| {
         b.iter(|| facs_compiled.evaluate(black_box(&request), black_box(&cell)))
     });
-    // One-time cost the compiled backend pays up front (the default
-    // surface cache makes the *second* build nearly free, so measure the
-    // non-default resolution to see a real compile).
+    c.bench_function("surface_compile_flc1_33pts", |b| {
+        b.iter(|| CompiledSurface::compile(flc1_exact.engine(), DEFAULT_LATTICE_POINTS).unwrap())
+    });
+    c.bench_function("surface_compile_flc2_33pts", |b| {
+        b.iter(|| CompiledSurface::compile(flc2_exact.engine(), DEFAULT_LATTICE_POINTS).unwrap())
+    });
+    // A full controller build at a non-default resolution (the cache only
+    // holds the default lattice, so this also compiles every time).
     c.bench_function("surface_compile_flc2_17pts", |b| {
         b.iter(|| {
             Flc2::with_backend(

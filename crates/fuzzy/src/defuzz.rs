@@ -9,8 +9,11 @@ use crate::set::SampledSet;
 /// Default number of integration samples used by area-based defuzzifiers.
 ///
 /// 501 points over a unit universe gives a 0.002 grid — far below the
-/// granularity at which admission decisions change, while keeping a single
-/// inference under a microsecond-scale budget.
+/// granularity at which admission decisions change. Cost grows with it:
+/// the engine merges each fired consequent term over the samples where
+/// that term is nonzero, and the centroid walks every strip, so one paper
+/// FLC inference takes on the order of 10 µs at this resolution
+/// (EXPERIMENTS.md, "Per-decision latency").
 pub const DEFAULT_RESOLUTION: usize = 501;
 
 /// A defuzzification strategy.

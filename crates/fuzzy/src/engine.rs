@@ -3,11 +3,13 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::defuzz::{Defuzzifier, DEFAULT_RESOLUTION};
 use crate::error::{FuzzyError, Result};
+use crate::membership::MembershipFunction;
 use crate::norms::{Implication, SNorm, TNorm};
 use crate::rule::{Connective, Rule, RuleBase};
 use crate::set::SampledSet;
@@ -90,6 +92,10 @@ struct Scratch {
     firings: Vec<f64>,
     /// `(strength, representative)` pairs for weighted-average defuzz.
     activations: Vec<(f64, f64)>,
+    /// `(term, strength)` merges the aggregation step performs, in order.
+    contributions: Vec<(usize, f64)>,
+    /// Per-term strongest firing of one output (max aggregation only).
+    term_strengths: Vec<f64>,
     /// Aggregation surfaces reused by the crisp-only path, one per
     /// distinct (universe, resolution) shape seen on this thread — so
     /// engines with different output universes (e.g. the FLC1 → FLC2
@@ -257,6 +263,9 @@ pub struct Engine {
     /// the flattened scratch membership buffer; the final entry is the
     /// total term count.
     term_offsets: Vec<usize>,
+    /// `term_spans[o][t]`: the aggregation-grid samples of output `o`
+    /// outside of which term `t`'s membership is exactly zero.
+    term_spans: Vec<Vec<Range<usize>>>,
 }
 
 impl Engine {
@@ -324,7 +333,7 @@ impl Engine {
             // vector is allocated per call by design.
             let mut firings = vec![0.0; self.compiled.len()];
             self.fire_rules_into(&scratch.memberships, &mut firings);
-            let outputs = self.infer_outputs(&firings, &mut scratch.activations)?;
+            let outputs = self.infer_outputs(&firings, scratch)?;
             Ok(Outcome { outputs, firings })
         })
     }
@@ -386,9 +395,9 @@ impl Engine {
             self.fire_rules_into(memberships, firings);
             let var = &self.outputs[0];
             if self.config.defuzzifier.needs_surface() {
-                let Scratch { firings, surfaces, .. } = scratch;
+                let Scratch { firings, surfaces, contributions, term_strengths, .. } = scratch;
                 let surface = Scratch::surface_for_in(surfaces, var, self.config.resolution)?;
-                if self.accumulate_surface(0, var, firings, surface) {
+                if self.accumulate_surface(0, firings, contributions, term_strengths, surface) {
                     self.crisp_of_surface(var, surface)
                 } else {
                     self.fallback_crisp(0, var)
@@ -482,17 +491,13 @@ impl Engine {
         }
     }
 
-    fn infer_outputs(
-        &self,
-        firings: &[f64],
-        activations: &mut Vec<(f64, f64)>,
-    ) -> Result<Vec<OutputValue>> {
+    fn infer_outputs(&self, firings: &[f64], scratch: &mut Scratch) -> Result<Vec<OutputValue>> {
         let mut outputs = Vec::with_capacity(self.outputs.len());
         for (out_idx, var) in self.outputs.iter().enumerate() {
             let value = if self.config.defuzzifier.needs_surface() {
-                self.defuzzify_surface(out_idx, var, firings)?
+                self.defuzzify_surface(out_idx, var, firings, scratch)?
             } else {
-                let crisp = self.crisp_weighted(out_idx, var, firings, activations)?;
+                let crisp = self.crisp_weighted(out_idx, var, firings, &mut scratch.activations)?;
                 OutputValue { name: var.name().to_owned(), crisp, surface: None }
             };
             outputs.push(value);
@@ -503,31 +508,61 @@ impl Engine {
     /// Aggregates every firing consequent of `out_idx` into `surface`
     /// (which must already be zeroed and shaped to the output universe).
     /// Returns `false` when no rule contributed mass.
+    ///
+    /// The result is bit-for-bit that of merging every firing rule's
+    /// implied consequent over the whole grid, in rule order, with less
+    /// work:
+    ///
+    /// * Under `max` aggregation each term's firing strengths are folded
+    ///   to their maximum first, so a term is merged once however many
+    ///   rules fire it. This is exact for both implications:
+    ///   `max_r min(s_r, mu) == min(max_r s_r, mu)`, and `fl(s * mu)` is
+    ///   monotone in `s`. Other aggregations merge per rule, in rule
+    ///   order (the probabilistic sum is not associative in floating
+    ///   point).
+    /// * Each merge covers only the term's span in `term_spans`. Outside
+    ///   it the membership is exactly zero, and every aggregation and
+    ///   implication in [`crate::norms`] satisfies
+    ///   `agg(v, imp(s, 0)) == v`, so those samples cannot change.
     fn accumulate_surface(
         &self,
         out_idx: usize,
-        var: &Variable,
         firings: &[f64],
+        contributions: &mut Vec<(usize, f64)>,
+        term_strengths: &mut Vec<f64>,
         surface: &mut SampledSet,
     ) -> bool {
-        let mut any_mass = false;
-        for (rule, &strength) in self.compiled.iter().zip(firings) {
-            if strength <= 0.0 {
-                continue;
+        let var = &self.outputs[out_idx];
+        let fired = self.compiled.iter().zip(firings).filter(|&(_, &s)| s > 0.0).flat_map(
+            |(rule, &strength)| {
+                rule.consequents
+                    .iter()
+                    .filter(move |c| c.output == out_idx)
+                    .map(move |c| (c.term, strength))
+            },
+        );
+        contributions.clear();
+        if self.config.aggregation == SNorm::Maximum {
+            term_strengths.clear();
+            term_strengths.resize(var.terms().len(), 0.0);
+            for (term, strength) in fired {
+                term_strengths[term] = term_strengths[term].max(strength);
             }
-            for consequent in &rule.consequents {
-                if consequent.output != out_idx {
-                    continue;
-                }
-                any_mass = true;
-                let mf = var.terms()[consequent.term].function();
-                surface.merge_from_fn(
-                    |x| self.config.implication.apply(strength, mf.evaluate(x)),
-                    |a, b| self.config.aggregation.apply(a, b),
-                );
-            }
+            contributions
+                .extend(term_strengths.iter().copied().enumerate().filter(|&(_, s)| s > 0.0));
+        } else {
+            contributions.extend(fired);
         }
-        any_mass
+        let InferenceConfig { implication, aggregation, .. } = self.config;
+        for &(term, strength) in contributions.iter() {
+            let mf = var.terms()[term].function();
+            surface.merge_from_fn(
+                self.term_spans[out_idx][term].clone(),
+                |x| implication.apply(strength, mf.evaluate(x)),
+                |a, b| aggregation.apply(a, b),
+            );
+        }
+        !contributions.is_empty()
     }
 
     /// Defuzzifies an aggregated surface, rewriting the placeholder
@@ -554,11 +589,13 @@ impl Engine {
         out_idx: usize,
         var: &Variable,
         firings: &[f64],
+        scratch: &mut Scratch,
     ) -> Result<OutputValue> {
         // This surface escapes into the returned `OutputValue`, so it is
         // built fresh rather than in the thread-local pool.
         let mut surface = SampledSet::empty(var.min(), var.max(), self.config.resolution)?;
-        if !self.accumulate_surface(out_idx, var, firings, &mut surface) {
+        let Scratch { contributions, term_strengths, .. } = scratch;
+        if !self.accumulate_surface(out_idx, firings, contributions, term_strengths, &mut surface) {
             let crisp = self.fallback_crisp(out_idx, var)?;
             return Ok(OutputValue { name: var.name().to_owned(), crisp, surface: Some(surface) });
         }
@@ -774,6 +811,18 @@ impl EngineBuilder {
         }
         term_offsets.push(total_terms);
 
+        let resolution = self.config.resolution;
+        let term_spans = self
+            .outputs
+            .iter()
+            .map(|var| {
+                var.terms()
+                    .iter()
+                    .map(|t| nonzero_span(t.function(), var.min(), var.max(), resolution))
+                    .collect()
+            })
+            .collect();
+
         Ok(Engine {
             inputs: self.inputs,
             outputs: self.outputs,
@@ -784,8 +833,35 @@ impl EngineBuilder {
             fallbacks,
             config: self.config,
             term_offsets,
+            term_spans,
         })
     }
+}
+
+/// The indices of a `samples`-point grid over `[min, max]` outside of
+/// which `mf` samples to exactly zero.
+///
+/// Taken from the shape's closed-form [`MembershipFunction::exact_support`]
+/// and widened by one sample on each side, which absorbs the rounding of
+/// the bounds and of the grid coordinates. Asymptotic shapes, and
+/// universes so far from the origin that rounding approaches the grid
+/// step, get the full grid.
+fn nonzero_span(mf: &MembershipFunction, min: f64, max: f64, samples: usize) -> Range<usize> {
+    let full = 0..samples;
+    let Some((lo, hi)) = mf.exact_support() else {
+        return full;
+    };
+    let step = (max - min) / (samples as f64 - 1.0);
+    let scale =
+        [min, max, lo, hi].iter().filter(|v| v.is_finite()).fold(0.0, |m, v| v.abs().max(m));
+    if step <= scale * 1e-12 {
+        return full;
+    }
+    let last = samples - 1;
+    let index = |x: f64| ((x - min) / step).clamp(0.0, last as f64);
+    let first = (index(lo).floor() as usize).saturating_sub(1);
+    let end = (index(hi).ceil() as usize + 1).min(last) + 1;
+    first..end
 }
 
 #[cfg(test)]
@@ -1172,6 +1248,44 @@ mod tests {
         assert!(engine.evaluate_single(&[("x", 0.5)]).is_err());
         let outcome = engine.evaluate(&[("x", 0.5)]).unwrap();
         assert_eq!(outcome.outputs().len(), 2);
+    }
+
+    #[test]
+    fn nonzero_span_brackets_every_nonzero_sample() {
+        let shapes = [
+            tri(0.3, 0.1, 0.25),
+            tri(0.0, 0.0, 0.2),
+            MembershipFunction::trapezoidal(0.5, 0.6, 0.05, 0.0).unwrap(),
+            MembershipFunction::z_shape(0.1, 0.3).unwrap(),
+            MembershipFunction::s_shape(0.7, 0.9).unwrap(),
+            MembershipFunction::singleton(0.5).unwrap(),
+            MembershipFunction::gaussian(0.5, 0.01).unwrap(),
+        ];
+        for (min, max) in [(0.0, 1.0), (-0.2, 0.9)] {
+            for samples in [2, 3, 101, 501] {
+                let step = (max - min) / (samples as f64 - 1.0);
+                for mf in shapes {
+                    let span = nonzero_span(&mf, min, max, samples);
+                    assert!(span.end <= samples, "{mf:?} {span:?}");
+                    for i in (0..samples).filter(|i| !span.contains(i)) {
+                        let x = min + step * i as f64;
+                        assert_eq!(mf.evaluate(x), 0.0, "{mf:?} sample {i} outside {span:?}");
+                    }
+                }
+            }
+        }
+        // Bounded shapes skip most of a fine grid (this triangle is
+        // nonzero on samples 101..=199) ...
+        assert_eq!(nonzero_span(&tri(0.3, 0.1, 0.1), 0.0, 1.0, 501), 98..202);
+        assert_eq!(
+            nonzero_span(&MembershipFunction::singleton(0.5).unwrap(), 0.0, 1.0, 501),
+            249..252
+        );
+        // ... asymptotic ones, and universes whose rounding rivals the
+        // grid step, keep the full grid.
+        let gaussian = MembershipFunction::gaussian(0.5, 0.01).unwrap();
+        assert_eq!(nonzero_span(&gaussian, 0.0, 1.0, 501), 0..501);
+        assert_eq!(nonzero_span(&tri(1e17, 1.0, 1.0), 1e17 - 50.0, 1e17 + 50.0, 501), 0..501);
     }
 
     #[test]

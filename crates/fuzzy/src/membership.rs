@@ -296,7 +296,8 @@ impl MembershipFunction {
     ///
     /// For gaussian/bell/sigmoid, the support is truncated where membership
     /// falls below `1e-6`, which is sufficient for the sampled integration
-    /// the defuzzifiers perform.
+    /// the defuzzifiers perform. Shapes that saturate at 1 (Z, S and the
+    /// sigmoid's plateau side) are unbounded on that side.
     #[must_use]
     pub fn support(&self) -> (f64, f64) {
         match *self {
@@ -317,14 +318,29 @@ impl MembershipFunction {
             }
             Self::Sigmoid { inflection, slope } => {
                 // Membership crosses 1e-6 about 13.8/|slope| from the
-                // inflection; the saturated side is unbounded so callers
-                // should clip to the variable universe.
+                // inflection on the vanishing side; the saturated side is
+                // unbounded, so callers should clip to the variable
+                // universe.
                 let reach = 13.8 / slope.abs();
-                (inflection - reach, f64::INFINITY.min(inflection + reach).max(inflection + reach))
+                if slope > 0.0 {
+                    (inflection - reach, f64::INFINITY)
+                } else {
+                    (f64::NEG_INFINITY, inflection + reach)
+                }
             }
             Self::ZShape { start, end } => (f64::NEG_INFINITY, end.max(start)),
             Self::SShape { start, end } => (start.min(end), f64::INFINITY),
             Self::Singleton { value } => (value, value),
+        }
+    }
+
+    /// The closed interval outside of which membership is exactly `0.0`,
+    /// or `None` for the asymptotic shapes (gaussian, bell, sigmoid), whose
+    /// [`support`](Self::support) is a truncation.
+    pub(crate) fn exact_support(&self) -> Option<(f64, f64)> {
+        match *self {
+            Self::Gaussian { .. } | Self::Bell { .. } | Self::Sigmoid { .. } => None,
+            _ => Some(self.support()),
         }
     }
 
@@ -589,12 +605,27 @@ mod tests {
             MembershipFunction::trapezoidal(1.0, 2.0, 0.5, 0.5).unwrap(),
             MembershipFunction::gaussian(0.0, 1.0).unwrap(),
             MembershipFunction::bell(0.0, 1.0, 2.0).unwrap(),
+            MembershipFunction::sigmoid(1.0, 2.0).unwrap(),
+            MembershipFunction::sigmoid(1.0, -2.0).unwrap(),
+            MembershipFunction::z_shape(1.0, 3.0).unwrap(),
+            MembershipFunction::s_shape(1.0, 3.0).unwrap(),
+            MembershipFunction::singleton(7.0).unwrap(),
         ];
         for mf in shapes {
             let (lo, hi) = mf.support();
+            assert!(lo <= hi, "{mf:?}");
             assert!(mf.evaluate(lo - 1.0) < 1e-5, "{mf:?}");
             assert!(mf.evaluate(hi + 1.0) < 1e-5, "{mf:?}");
             assert!(mf.evaluate(0.5 * (lo.max(-1e9) + hi.min(1e9))) > 0.0, "{mf:?}");
+            // A side that reaches membership ~1 is unbounded; a finite
+            // side has (near-)zero membership just past it.
+            for (bound, probe) in [(lo, -1e9), (hi, 1e9)] {
+                if mf.evaluate(probe) > 0.5 {
+                    assert!(bound.is_infinite(), "{mf:?} saturates toward {probe}");
+                } else {
+                    assert!(bound.is_finite(), "{mf:?} vanishes toward {probe}");
+                }
+            }
         }
     }
 

@@ -192,6 +192,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_membership_leaves_every_aggregation_unchanged() {
+        // The engine skips consequent samples whose membership is zero;
+        // that is exact only because of this identity.
+        let values = [0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 0.999_999, 1.0];
+        for agg in [SNorm::Maximum, SNorm::ProbabilisticSum, SNorm::BoundedSum, SNorm::Drastic] {
+            for imp in [Implication::Minimum, Implication::Product] {
+                for &v in &values {
+                    for &s in &values {
+                        let merged = agg.apply(v, imp.apply(s, 0.0));
+                        assert_eq!(merged.to_bits(), v.to_bits(), "{agg:?} {imp:?} v={v} s={s}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_inputs_are_clamped() {
         assert_eq!(TNorm::Minimum.apply(-0.5, 2.0), 0.0);
         assert_eq!(SNorm::Maximum.apply(-0.5, 2.0), 1.0);

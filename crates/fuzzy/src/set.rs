@@ -1,6 +1,8 @@
 //! Discretized (sampled) fuzzy sets — the aggregation surface that Mamdani
 //! inference produces and defuzzifiers consume.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{FuzzyError, Result};
@@ -137,17 +139,31 @@ impl SampledSet {
     }
 
     /// Point-wise merge with the membership function `f` sampled over this
-    /// set's own grid: for each sample `i` at coordinate `x_i`,
+    /// set's own grid, restricted to the sample indices in `span`: for
+    /// each `i` in `span` at coordinate `x_i`,
     /// `values[i] = combine(values[i], sanitize(f(x_i)))`.
     ///
-    /// Equivalent to building a [`SampledSet::from_fn`] contribution and
+    /// Over the full span `0..len()` this equals building a
+    /// [`SampledSet::from_fn`] contribution and
     /// [`SampledSet::merge_with`]-ing it (same clamping and non-finite
     /// sanitization), but without allocating the intermediate set — this
-    /// is the engine's aggregation hot loop.
-    pub fn merge_from_fn(&mut self, f: impl Fn(f64) -> f64, combine: impl Fn(f64, f64) -> f64) {
+    /// is the engine's aggregation hot loop. The engine passes a narrower
+    /// span only where `f` is zero outside it and `combine(v, 0) == v`, so
+    /// the skipped samples could not have changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` reaches past the last sample.
+    pub fn merge_from_fn(
+        &mut self,
+        span: Range<usize>,
+        f: impl Fn(f64) -> f64,
+        combine: impl Fn(f64, f64) -> f64,
+    ) {
         let step = (self.max - self.min) / (self.values.len() as f64 - 1.0);
-        for (i, v) in self.values.iter_mut().enumerate() {
-            let x = self.min + step * i as f64;
+        let start = span.start;
+        for (i, v) in self.values[span].iter_mut().enumerate() {
+            let x = self.min + step * (start + i) as f64;
             let mu = f(x);
             let mu = if mu.is_finite() { mu.clamp(0.0, 1.0) } else { 0.0 };
             *v = combine(*v, mu).clamp(0.0, 1.0);
@@ -179,15 +195,18 @@ impl SampledSet {
         let mut area = 0.0;
         let mut moment = 0.0;
         for (i, w) in self.values.windows(2).enumerate() {
+            // Samples lie in [0, 1] (every constructor and merge clamps),
+            // so a strip either has positive mass or is empty; an empty
+            // strip adds exactly +0 to both sums, so skipping it leaves
+            // the result unchanged.
+            if w[0] + w[1] == 0.0 {
+                continue;
+            }
             let x0 = self.min + step * i as f64;
             let x1 = x0 + step;
             let a = 0.5 * (w[0] + w[1]) * step;
             // Centroid of one trapezoidal strip (linear interpolation of mu).
-            let cx = if w[0] + w[1] > 0.0 {
-                (x0 * (2.0 * w[0] + w[1]) + x1 * (w[0] + 2.0 * w[1])) / (3.0 * (w[0] + w[1]))
-            } else {
-                0.5 * (x0 + x1)
-            };
+            let cx = (x0 * (2.0 * w[0] + w[1]) + x1 * (w[0] + 2.0 * w[1])) / (3.0 * (w[0] + w[1]));
             area += a;
             moment += a * cx;
         }
@@ -383,7 +402,7 @@ mod tests {
         let tri = |x: f64| 1.0 - (x - 0.5).abs() * 2.0;
         let base = |x: f64| if x < 0.5 { 0.3 } else { 0.0 };
         let mut direct = SampledSet::from_fn(0.0, 1.0, 101, base).unwrap();
-        direct.merge_from_fn(tri, f64::max);
+        direct.merge_from_fn(0..101, tri, f64::max);
         let mut reference = SampledSet::from_fn(0.0, 1.0, 101, base).unwrap();
         let contribution = SampledSet::from_fn(0.0, 1.0, 101, tri).unwrap();
         reference.merge_with(&contribution, f64::max);
@@ -393,7 +412,7 @@ mod tests {
     #[test]
     fn merge_from_fn_sanitizes_non_finite() {
         let mut s = SampledSet::empty(0.0, 1.0, 11).unwrap();
-        s.merge_from_fn(|x| if x == 0.0 { f64::NAN } else { 2.0 }, f64::max);
+        s.merge_from_fn(0..11, |x| if x == 0.0 { f64::NAN } else { 2.0 }, f64::max);
         assert_eq!(s.values()[0], 0.0);
         assert!(s.values()[1..].iter().all(|&v| v == 1.0));
     }
