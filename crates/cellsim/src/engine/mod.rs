@@ -56,7 +56,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::workload::WorkloadStream;
 
-use shard::{sort_migrants, CellUnit, Migrant, Shard};
+use shard::{CellUnit, Migrant, PendingArrival, Shard};
 
 /// A clonable, serde-friendly sum of the crate's mobility models, so
 /// workloads can be described as plain data.
@@ -129,17 +129,12 @@ pub struct SimulationConfig {
     /// results for cell-local controllers (see the module docs).
     pub shards: usize,
     /// Worker threads driving the shards. `0` (the default) sizes the
-    /// pool to `min(shards, available cores)`; `1` forces the
-    /// sequential driver even for many shards (useful on single-core
-    /// hosts, where threads only add barrier overhead). Shards are
-    /// **work items**, stolen whole — the worker count never affects
-    /// results, only wall-clock.
+    /// pool to `min(shards, available cores)`; `1` runs every shard
+    /// inline on the calling thread even for many shards (useful on
+    /// single-core hosts, where threads only add barrier overhead).
+    /// Shards are **work items**, stolen whole — the worker count never
+    /// affects results, only wall-clock.
     pub workers: usize,
-    /// Pins each shard to one worker (static round-robin assignment,
-    /// shard `s` → worker `s % workers`) instead of work-stealing —
-    /// keeps every shard's caches warm on one thread at the cost of
-    /// load balance. Results are identical either way.
-    pub pin_shards: bool,
 }
 
 impl Default for SimulationConfig {
@@ -151,7 +146,6 @@ impl Default for SimulationConfig {
             seed: 0xFAC5,
             shards: 1,
             workers: 0,
-            pin_shards: false,
         }
     }
 }
@@ -246,8 +240,35 @@ impl Simulation {
 
     /// Runs the workload, streaming every observable event into `sink`
     /// (forked per shard, folded back in shard order; see
-    /// [`MetricsSink`]).
+    /// [`MetricsSink`]). `workload[i]` is user `i`; the specs need not be
+    /// sorted by arrival time.
     pub fn run_with<S: MetricsSink>(&mut self, workload: Vec<UserSpec>, sink: S) -> S {
+        self.run_source(Source::eager(workload), sink)
+    }
+
+    /// Runs a streamed workload to completion and returns the collected
+    /// metrics. See [`Simulation::run_streamed_with`].
+    pub fn run_streamed(&mut self, stream: WorkloadStream) -> Metrics {
+        let metrics = self.run_streamed_with(stream, Metrics::new());
+        self.metrics = metrics.clone();
+        metrics
+    }
+
+    /// Runs a lazily synthesized workload: users are generated chunk by
+    /// chunk from `stream` and routed to their home shards one epoch
+    /// window at a time, so peak resident specs are O(active calls + one
+    /// chunk) instead of O(total users). Results are bit-identical to
+    /// [`Simulation::run_with`] on the eagerly generated workload: the
+    /// stream replays the same random draws in the same order, and both
+    /// inputs reach the kernel in the same `(time, user)` order.
+    pub fn run_streamed_with<S: MetricsSink>(&mut self, stream: WorkloadStream, sink: S) -> S {
+        self.run_source(Source::Stream(Box::new(stream)), sink)
+    }
+
+    /// The one run body behind every entry point: refuses shared-state
+    /// controllers on several shards, partitions the cells, drives the
+    /// epochs and reassembles the world.
+    fn run_source<S: MetricsSink>(&mut self, source: Source, mut sink: S) -> S {
         let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
         if shard_count > 1 {
             // Bit-identity only holds for cell-local controllers; a
@@ -271,105 +292,29 @@ impl Simulation {
         for cell in std::mem::take(&mut self.cells) {
             per_shard[cell.id.0 as usize % shard_count].push(cell);
         }
-        let grid = &self.grid;
-        let config = self.config;
-        let specs: &[UserSpec] = &workload;
+        let (grid, config) = (&self.grid, self.config);
         let mut shards: Vec<Shard<'_, S>> = per_shard
             .into_iter()
             .enumerate()
-            .map(|(i, cells)| Shard::new(i, shard_count, grid, specs, config, cells, sink.fork()))
+            .map(|(i, cells)| Shard::new(i, shard_count, grid, config, cells, sink.fork()))
             .collect();
+        let mut feeder = Feeder { source, grid, shard_count };
+        let workers = resolve_workers(config.workers, shard_count);
+        let epochs = drive(&mut shards, &mut feeder, tick, horizon, workers);
 
-        // Route each arrival to the shard owning its covering cell (the
-        // locate here is the only one; shards reuse it on dispatch).
-        // Shards reference the shared workload slice by index — the
-        // (large) specs are never copied out of it.
-        let estimate = workload.len() / shard_count;
-        for shard in &mut shards {
-            shard.reserve_arrivals(estimate + estimate / 4 + 64);
+        // Fold shard sinks in shard order, put the cells back in id
+        // order and flush each cell's utilization integral.
+        let final_time =
+            if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
+        for shard in shards {
+            sink.absorb(shard.sink);
+            self.cells.extend(shard.cells);
         }
-        for (idx, spec) in workload.iter().enumerate() {
-            let home = grid.locate(spec.start.position);
-            shards[home.0 as usize % shard_count].push_arrival(idx as u32, home, spec.arrival_s);
+        self.cells.sort_by_key(|c| c.id.0);
+        for cell in &mut self.cells {
+            let (occupied_bu_s, capacity_bu_s) = cell.finish(final_time);
+            sink.on_cell_utilization(cell.id, occupied_bu_s, capacity_bu_s);
         }
-        for shard in &mut shards {
-            shard.seal_arrivals();
-        }
-
-        let workers = driver_workers(self.config.workers, shard_count);
-        let epochs = if workers <= 1 {
-            drive_sequential(&mut shards, tick, horizon)
-        } else {
-            drive_pool(&mut shards, tick, horizon, workers, self.config.pin_shards)
-        };
-        let (sink, cells, final_time) = reassemble(sink, shards, tick, epochs, horizon);
-        self.cells = cells;
-        self.clock = final_time;
-        sink
-    }
-
-    /// Runs a streamed workload to completion and returns the collected
-    /// metrics. See [`Simulation::run_streamed_with`].
-    pub fn run_streamed(&mut self, stream: WorkloadStream) -> Metrics {
-        let metrics = self.run_streamed_with(stream, Metrics::new());
-        self.metrics = metrics.clone();
-        metrics
-    }
-
-    /// Runs a lazily synthesized workload: users are generated chunk by
-    /// chunk from `stream` and routed to their home shards one epoch
-    /// window at a time, so peak resident specs are O(active calls + one
-    /// chunk) instead of O(total users). Results are bit-identical to
-    /// [`Simulation::run_with`] on the eagerly generated workload: the
-    /// stream replays the same random draws in the same order, and
-    /// per-shard delivery order equals the eager slab's sorted dispatch
-    /// order (see the `shard` module).
-    pub fn run_streamed_with<S: MetricsSink>(&mut self, stream: WorkloadStream, sink: S) -> S {
-        let shard_count = self.config.shards.clamp(1, self.cells.len().max(1));
-        if shard_count > 1 {
-            if let Some(cell) = self.cells.iter().find(|c| !c.controller.is_cell_local()) {
-                panic!(
-                    "controller `{}` shares cross-cell state and cannot run on {} shards \
-                     without losing bit-reproducibility; use shards = 1",
-                    cell.controller.name(),
-                    shard_count
-                );
-            }
-        }
-        let tick = SimDuration::from_secs_f64(self.config.movement_tick_s);
-        assert!(tick.as_micros() > 0, "movement tick rounds to zero microseconds");
-        let horizon = SimTime::from_secs_f64(self.config.max_time_s);
-
-        let mut per_shard: Vec<Vec<CellUnit>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for cell in std::mem::take(&mut self.cells) {
-            per_shard[cell.id.0 as usize % shard_count].push(cell);
-        }
-        let grid = &self.grid;
-        let config = self.config;
-        // Streamed shards own their pending specs; the shared slab stays
-        // empty.
-        let mut shards: Vec<Shard<'_, S>> = per_shard
-            .into_iter()
-            .enumerate()
-            .map(|(i, cells)| Shard::new(i, shard_count, grid, &[], config, cells, sink.fork()))
-            .collect();
-
-        let mut feeder = StreamFeeder { stream, grid };
-        let workers = driver_workers(self.config.workers, shard_count);
-        let epochs = if workers <= 1 {
-            drive_sequential_streamed(&mut shards, tick, horizon, &mut feeder)
-        } else {
-            drive_pool_streamed(
-                &mut shards,
-                tick,
-                horizon,
-                workers,
-                self.config.pin_shards,
-                &mut feeder,
-            )
-        };
-        let (sink, cells, final_time) = reassemble(sink, shards, tick, epochs, horizon);
-        self.cells = cells;
         self.clock = final_time;
         sink
     }
@@ -405,221 +350,131 @@ impl Simulation {
 }
 
 /// The instant of barrier `epoch` (exact integer microsecond math, so
-/// every shard and driver computes identical barrier times).
+/// every shard and worker computes identical barrier times).
 fn barrier_time(tick: SimDuration, epoch: u64) -> SimTime {
     SimTime::from_micros(tick.as_micros() * epoch)
 }
 
-/// Reassembles a finished run — folds shard sinks in shard order,
-/// collects cells back into id order and flushes each cell's
-/// utilization integral — the shared tail of the eager and streamed run
-/// paths. Returns `(sink, cells, final time)`.
-fn reassemble<S: MetricsSink>(
-    mut sink: S,
-    shards: Vec<Shard<'_, S>>,
-    tick: SimDuration,
-    epochs: u64,
-    horizon: SimTime,
-) -> (S, Vec<CellUnit>, SimTime) {
-    let final_time =
-        if epochs == 0 { SimTime::ZERO } else { barrier_time(tick, epochs).min(horizon) };
-    let mut cells: Vec<CellUnit> = Vec::new();
-    for shard in shards {
-        sink.absorb(shard.sink);
-        cells.extend(shard.cells);
-    }
-    cells.sort_by_key(|c| c.id.0);
-    for cell in &mut cells {
-        let (occupied_bu_s, capacity_bu_s) = cell.finish(final_time);
-        sink.on_cell_utilization(cell.id, occupied_bu_s, capacity_bu_s);
-    }
-    (sink, cells, final_time)
+/// Where a run's users come from.
+enum Source {
+    /// Lazily synthesized chunks, already in `(time, user)` order.
+    Stream(Box<WorkloadStream>),
+    /// The caller's specs (`specs[i]` is user `i`), taken out one by one
+    /// in `order`: `(arrival µs, index)` ascending from `cursor`.
+    Eager { specs: Vec<Option<UserSpec>>, order: Vec<(u64, usize)>, cursor: usize },
 }
 
-/// Picks the worker count for a run, skipping pool setup (and the
-/// `available_parallelism` probe) outright when the pool cannot help:
-/// one shard serializes on its own state, and an explicit single worker
-/// would only add barrier churn.
-fn driver_workers(configured: usize, shard_count: usize) -> usize {
-    if shard_count == 1 || configured == 1 {
-        1
-    } else {
-        resolve_workers(configured, shard_count)
+impl Source {
+    /// Wraps an eager workload, ordering it once by `(arrival µs,
+    /// index)` — the content-defined dispatch order — because hand-built
+    /// workloads need not be time-sorted. `Option<UserSpec>` has the
+    /// size of `UserSpec`, so the wrapping collect can reuse the
+    /// caller's buffer in place.
+    fn eager(workload: Vec<UserSpec>) -> Self {
+        let mut order: Vec<(u64, usize)> = workload
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| (SimTime::from_secs_f64(spec.arrival_s).as_micros(), i))
+            .collect();
+        order.sort_unstable();
+        Source::Eager { specs: workload.into_iter().map(Some).collect(), order, cursor: 0 }
     }
 }
 
-/// Feeds a [`WorkloadStream`] into the shards' pending-arrival queues,
-/// one epoch window at a time. Pull granularity is the stream's chunk
-/// size, so a refill can overshoot the window by at most one chunk —
-/// that overshoot simply waits in the pending queues.
-struct StreamFeeder<'g> {
-    stream: WorkloadStream,
+/// Feeds the run's users into the shards' pending queues one epoch
+/// window at a time, routing each to the shard that owns its covering
+/// cell (the locate here is the only one; shards reuse it on dispatch).
+/// A stream is pulled at chunk granularity, so a refill can overshoot
+/// the window by at most one chunk — that overshoot simply waits in the
+/// pending queues.
+struct Feeder<'g> {
+    source: Source,
     grid: &'g HexGrid,
+    shard_count: usize,
 }
 
-impl StreamFeeder<'_> {
-    /// True once every user has been synthesized and delivered.
+impl Feeder<'_> {
+    /// True once every user has been delivered.
     fn exhausted(&self) -> bool {
-        self.stream.is_exhausted()
-    }
-
-    /// Delivers every arrival due at or before `limit` (sequential
-    /// driver variant: shards are directly mutable).
-    fn refill<S: MetricsSink>(&mut self, shards: &mut [Shard<'_, S>], limit: SimTime) {
-        let shard_count = shards.len();
-        while self.stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
-        {
-            let Some(mut chunk) = self.stream.next_chunk() else { break };
-            for (i, spec) in chunk.specs.drain(..).enumerate() {
-                let user = chunk.first_user + i as u64;
-                let time = SimTime::from_secs_f64(spec.arrival_s);
-                let home = self.grid.locate(spec.start.position);
-                shards[home.0 as usize % shard_count].push_pending(
-                    time.as_micros(),
-                    user,
-                    home,
-                    spec,
-                );
-            }
-            self.stream.recycle(chunk);
+        match &self.source {
+            Source::Stream(stream) => stream.is_exhausted(),
+            Source::Eager { order, cursor, .. } => *cursor >= order.len(),
         }
     }
 
-    /// Pooled-driver variant of [`StreamFeeder::refill`]: delivers into
-    /// the shard slots and clears the idle flag of every shard that
-    /// receives an arrival (their published flags predate the refill).
-    /// Only the barrier leader calls this, while the other workers hold
-    /// at a barrier — the per-push slot locks are uncontended.
-    fn refill_slots<S: MetricsSink>(
-        &mut self,
-        slots: &[std::sync::Mutex<&mut Shard<'_, S>>],
-        idle: &[std::sync::atomic::AtomicBool],
-        limit: SimTime,
-    ) {
-        let shard_count = slots.len();
-        while self.stream.peek_next_arrival_s().is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
-        {
-            let Some(mut chunk) = self.stream.next_chunk() else { break };
-            for (i, spec) in chunk.specs.drain(..).enumerate() {
-                let user = chunk.first_user + i as u64;
-                let time = SimTime::from_secs_f64(spec.arrival_s);
-                let home = self.grid.locate(spec.start.position);
-                let target = home.0 as usize % shard_count;
-                slots[target].lock().expect("shard slot poisoned").push_pending(
-                    time.as_micros(),
-                    user,
-                    home,
-                    spec,
-                );
-                idle[target].store(false, std::sync::atomic::Ordering::SeqCst);
+    /// Delivers every arrival due at or before `limit` as
+    /// `deliver(target shard, arrival)`, in `(time, user)` order.
+    fn refill(&mut self, limit: SimTime, mut deliver: impl FnMut(usize, PendingArrival)) {
+        let (grid, shard_count) = (self.grid, self.shard_count);
+        let mut route = |time_us: u64, user: u64, spec: UserSpec| {
+            let cell = grid.locate(spec.start.position);
+            deliver(cell.0 as usize % shard_count, PendingArrival { time_us, user, cell, spec });
+        };
+        match &mut self.source {
+            Source::Stream(stream) => {
+                while stream
+                    .peek_next_arrival_s()
+                    .is_some_and(|t| SimTime::from_secs_f64(t) <= limit)
+                {
+                    let Some(mut chunk) = stream.next_chunk() else { break };
+                    for (i, spec) in chunk.specs.drain(..).enumerate() {
+                        let time_us = SimTime::from_secs_f64(spec.arrival_s).as_micros();
+                        route(time_us, chunk.first_user + i as u64, spec);
+                    }
+                    stream.recycle(chunk);
+                }
             }
-            self.stream.recycle(chunk);
-        }
-    }
-}
-
-/// The single-threaded epoch driver for streamed workloads: identical to
-/// [`drive_sequential`] except that each epoch begins by delivering the
-/// arrivals due by the *next* barrier, and the loop only ends once the
-/// stream is exhausted — an all-idle world with undelivered future
-/// arrivals must keep pulsing epochs exactly like the eager driver
-/// (whose shards stay non-idle while arrivals remain).
-fn drive_sequential_streamed<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-    feeder: &mut StreamFeeder<'_>,
-) -> u64 {
-    let shard_count = shards.len();
-    let mut epoch: u64 = 0;
-    loop {
-        feeder.refill(shards, barrier_time(tick, epoch + 1).min(horizon));
-        if (shards.iter().all(Shard::idle) && feeder.exhausted())
-            || barrier_time(tick, epoch) >= horizon
-        {
-            break;
-        }
-        epoch += 1;
-        let t = barrier_time(tick, epoch);
-        let limit = t.min(horizon);
-        for s in shards.iter_mut() {
-            s.run_events(limit);
-        }
-        if t > horizon {
-            break;
-        }
-        let mut mailboxes: Vec<Vec<Migrant>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for s in shards.iter_mut() {
-            for (target, migrant) in s.run_movement(t) {
-                mailboxes[target].push(migrant);
+            Source::Eager { specs, order, cursor } => {
+                while let Some(&(time_us, i)) = order.get(*cursor) {
+                    if SimTime::from_micros(time_us) > limit {
+                        break;
+                    }
+                    *cursor += 1;
+                    route(time_us, i as u64, specs[i].take().expect("user delivered twice"));
+                }
+                if *cursor == order.len() && !order.is_empty() {
+                    // Fully delivered: free the emptied slots and the
+                    // order instead of pinning them for the run's tail.
+                    (*specs, *order, *cursor) = (Vec::new(), Vec::new(), 0);
+                }
             }
         }
-        for (s, mut inbox) in shards.iter_mut().zip(mailboxes) {
-            sort_migrants(&mut inbox);
-            s.run_admissions(t, inbox);
-            s.sample_cells(t);
-        }
     }
-    epoch
-}
-
-/// The single-threaded epoch driver (also correct, though unused, for
-/// multiple shards — the determinism tests compare it against the
-/// threaded driver). Returns the number of epochs run.
-fn drive_sequential<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-) -> u64 {
-    let shard_count = shards.len();
-    let mut epoch: u64 = 0;
-    loop {
-        if shards.iter().all(Shard::idle) || barrier_time(tick, epoch) >= horizon {
-            break;
-        }
-        epoch += 1;
-        let t = barrier_time(tick, epoch);
-        let limit = t.min(horizon);
-        for s in shards.iter_mut() {
-            s.run_events(limit);
-        }
-        if t > horizon {
-            break;
-        }
-        let mut mailboxes: Vec<Vec<Migrant>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for s in shards.iter_mut() {
-            for (target, migrant) in s.run_movement(t) {
-                mailboxes[target].push(migrant);
-            }
-        }
-        for (s, mut inbox) in shards.iter_mut().zip(mailboxes) {
-            sort_migrants(&mut inbox);
-            s.run_admissions(t, inbox);
-            s.sample_cells(t);
-        }
-    }
-    epoch
 }
 
 /// Sizes the worker pool: an explicit count is honored (capped at one
 /// worker per shard, more can never help); `0` asks the OS for the
-/// available parallelism. Either way a single-shard run costs no
-/// threads at all.
+/// available parallelism. A single shard skips the probe: it always
+/// runs inline.
 fn resolve_workers(configured: usize, shard_count: usize) -> usize {
-    let requested = if configured == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        configured
+    let requested = match configured {
+        0 if shard_count > 1 => {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }
+        0 => 1,
+        n => n,
     };
     requested.min(shard_count)
 }
 
-/// The pooled epoch driver: `workers` scoped threads drive all
-/// `shards.len()` shards, **stealing shards whole** from a shared
-/// atomic counter in each phase (or taking a static round-robin slice
-/// when pinned). Two [`std::sync::Barrier`]s per epoch separate the
-/// event/movement phase from the admission phase, exactly like the old
-/// one-thread-per-shard driver.
+/// The epoch driver. Each epoch has three phases:
+///
+/// 1. **Refill** — the feeder delivers every arrival due by the next
+///    barrier. The run ends once every shard is idle *and* the feeder is
+///    exhausted (an all-idle world with undelivered future arrivals must
+///    keep pulsing epochs), or the horizon is reached.
+/// 2. **Events + movement** ([`Shard::advance`]) — every shard drains its
+///    local events up to the barrier and posts the calls that crossed
+///    into another shard's cell to that shard's mailbox.
+/// 3. **Admissions + pulse** ([`Shard::settle`]) — every shard admits its
+///    sorted inbox, then fires the epoch pulse.
+///
+/// With one worker the phases run inline on the calling thread. With
+/// more, `workers` scoped threads **steal shards whole** from a shared
+/// atomic counter in phases 2 and 3, and barriers separate the phases:
+/// the barrier leader refills while every other worker holds, so all
+/// workers read the same idle/exhausted flags and the epoch count and
+/// termination branch stay unanimous.
 ///
 /// ## Why stealing cannot perturb results
 ///
@@ -629,254 +484,117 @@ fn resolve_workers(configured: usize, shard_count: usize) -> usize {
 /// from concurrently-running shards can interleave arbitrarily — the
 /// inbox is sorted into global user order before any admission — and
 /// sinks are folded in shard order at reassembly, so every float and
-/// every RNG draw happens in the same order as the sequential driver.
-///
-/// Every worker computes the identical `all_idle`/horizon branches from
-/// the same published flags, so barrier counts always match. The phase
-/// counters are reset by the barrier leader one full barrier before
-/// their next use, which orders the reset before every subsequent
-/// `fetch_add`.
-fn drive_pool<S: MetricsSink>(
+/// every RNG draw happens in the same order as with one worker. The
+/// phase counters are reset by the barrier leader one full barrier
+/// before their next use, which orders the reset before every
+/// subsequent `fetch_add`. Returns the number of epochs run.
+fn drive<S: MetricsSink>(
     shards: &mut [Shard<'_, S>],
+    feeder: &mut Feeder<'_>,
     tick: SimDuration,
     horizon: SimTime,
     workers: usize,
-    pin: bool,
 ) -> u64 {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Barrier, Mutex};
 
     let shard_count = shards.len();
+    let window = |epoch: u64| barrier_time(tick, epoch + 1).min(horizon);
+    let finished = |done: bool, epoch: u64| done || barrier_time(tick, epoch) >= horizon;
+
+    if workers <= 1 {
+        let mut mailboxes: Vec<Vec<Migrant>> = (0..shard_count).map(|_| Vec::new()).collect();
+        let mut epoch: u64 = 0;
+        loop {
+            feeder.refill(window(epoch), |i, a| shards[i].push_pending(a));
+            if finished(shards.iter().all(Shard::idle) && feeder.exhausted(), epoch) {
+                return epoch;
+            }
+            epoch += 1;
+            let t = barrier_time(tick, epoch);
+            for shard in shards.iter_mut() {
+                shard.advance(t, horizon, |target, m| mailboxes[target].push(m));
+            }
+            if t > horizon {
+                return epoch;
+            }
+            for (shard, inbox) in shards.iter_mut().zip(&mut mailboxes) {
+                shard.settle(t, inbox);
+            }
+        }
+    }
+
     let sync = Barrier::new(workers);
     let mailboxes: Vec<Mutex<Vec<Migrant>>> =
         (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-    // Published at the end of each epoch's admission phase by whichever
-    // worker ran the shard; seeded here so epoch 0's check sees truth.
+    // Published at the end of each epoch's phase 3 by whichever worker
+    // ran the shard (and cleared by the refill); seeded here so epoch
+    // 0's check sees truth.
     let idle: Vec<AtomicBool> = shards.iter().map(|s| AtomicBool::new(s.idle())).collect();
-    let next_a = AtomicUsize::new(0);
-    let next_b = AtomicUsize::new(0);
-    let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
-
-    let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let sync = &sync;
-                let mailboxes = &mailboxes;
-                let idle = &idle;
-                let next_a = &next_a;
-                let next_b = &next_b;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // The shard indices this worker processes in a phase:
-                    // pinned → its static residue class; stealing → pull
-                    // from the shared counter until the phase runs dry.
-                    let claim = |counter: &AtomicUsize, k: usize| {
-                        if pin {
-                            let i = me + k * workers;
-                            (i < shard_count).then_some(i)
-                        } else {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            (i < shard_count).then_some(i)
-                        }
-                    };
-                    let mut epoch: u64 = 0;
-                    loop {
-                        if sync.wait().is_leader() {
-                            // The previous epoch's phase B is over on
-                            // every worker; the counter's next use is
-                            // behind the phase-A barrier below, which
-                            // this reset happens-before.
-                            next_b.store(0, Ordering::Relaxed);
-                        }
-                        let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
-                        if all_idle || barrier_time(tick, epoch) >= horizon {
-                            break;
-                        }
-                        epoch += 1;
-                        let t = barrier_time(tick, epoch);
-                        let limit = t.min(horizon);
-                        // Phase A: local events, then movement.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_a, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            shard.run_events(limit);
-                            if t <= horizon {
-                                for (target, migrant) in shard.run_movement(t) {
-                                    mailboxes[target]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .push(migrant);
-                                }
-                            }
-                        }
-                        if sync.wait().is_leader() {
-                            // Phase A is over on every worker; the
-                            // counter's next use is behind the loop-top
-                            // barrier, which this reset happens-before.
-                            next_a.store(0, Ordering::Relaxed);
-                        }
-                        if t > horizon {
-                            break;
-                        }
-                        // Phase B: inbound handoffs, then the epoch pulse.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_b, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            let mut inbox = std::mem::take(
-                                &mut *mailboxes[i].lock().expect("mailbox poisoned"),
-                            );
-                            sort_migrants(&mut inbox);
-                            shard.run_admissions(t, inbox);
-                            shard.sample_cells(t);
-                            idle[i].store(shard.idle(), Ordering::SeqCst);
-                        }
-                    }
-                    epoch
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-    })
-    .expect("shard scope failed");
-
-    let first = epochs[0];
-    debug_assert!(epochs.iter().all(|&e| e == first), "workers disagreed on epoch count");
-    first
-}
-
-/// The pooled epoch driver for streamed workloads: [`drive_pool`] plus a
-/// refill phase at the top of every epoch. One extra barrier pair
-/// brackets the refill — the leader delivers the next epoch window into
-/// the shard slots while every other worker waits, then all workers read
-/// the same idle/exhausted flags, so the epoch count and the termination
-/// branch stay unanimous. Streamed runs pay this third barrier; eager
-/// runs keep the two-barrier loop untouched.
-fn drive_pool_streamed<S: MetricsSink>(
-    shards: &mut [Shard<'_, S>],
-    tick: SimDuration,
-    horizon: SimTime,
-    workers: usize,
-    pin: bool,
-    feeder: &mut StreamFeeder<'_>,
-) -> u64 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let shard_count = shards.len();
-    let sync = Barrier::new(workers);
-    let mailboxes: Vec<Mutex<Vec<Migrant>>> =
-        (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-    let idle: Vec<AtomicBool> = shards.iter().map(|s| AtomicBool::new(s.idle())).collect();
-    let stream_done = AtomicBool::new(feeder.exhausted());
-    let next_a = AtomicUsize::new(0);
-    let next_b = AtomicUsize::new(0);
+    let exhausted = AtomicBool::new(feeder.exhausted());
+    let (next_a, next_b) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let claim = |counter: &AtomicUsize| {
+        let i = counter.fetch_add(1, Ordering::Relaxed);
+        (i < shard_count).then_some(i)
+    };
     let slots: Vec<Mutex<&mut Shard<'_, S>>> = shards.iter_mut().map(Mutex::new).collect();
     let feeder = Mutex::new(feeder);
-
+    let worker = || {
+        let mut epoch: u64 = 0;
+        loop {
+            if sync.wait().is_leader() {
+                // Phase 3 is over on every worker; the counter's next use
+                // is behind the phase-2 barrier below.
+                next_b.store(0, Ordering::Relaxed);
+                let mut feeder = feeder.lock().expect("feeder poisoned");
+                feeder.refill(window(epoch), |i, a| {
+                    slots[i].lock().expect("shard slot poisoned").push_pending(a);
+                    idle[i].store(false, Ordering::SeqCst);
+                });
+                exhausted.store(feeder.exhausted(), Ordering::SeqCst);
+            }
+            sync.wait();
+            let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
+            if finished(all_idle && exhausted.load(Ordering::SeqCst), epoch) {
+                return epoch;
+            }
+            epoch += 1;
+            let t = barrier_time(tick, epoch);
+            while let Some(i) = claim(&next_a) {
+                let mut shard = slots[i].lock().expect("shard slot poisoned");
+                shard.advance(t, horizon, |target, m| {
+                    mailboxes[target].lock().expect("mailbox poisoned").push(m);
+                });
+            }
+            if sync.wait().is_leader() {
+                // Phase 2 is over on every worker; the counter's next use
+                // is behind the loop-top barrier.
+                next_a.store(0, Ordering::Relaxed);
+            }
+            if t > horizon {
+                return epoch;
+            }
+            while let Some(i) = claim(&next_b) {
+                let mut shard = slots[i].lock().expect("shard slot poisoned");
+                shard.settle(t, &mut mailboxes[i].lock().expect("mailbox poisoned"));
+                idle[i].store(shard.idle(), Ordering::SeqCst);
+            }
+        }
+    };
     let epochs: Vec<u64> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let sync = &sync;
-                let mailboxes = &mailboxes;
-                let idle = &idle;
-                let stream_done = &stream_done;
-                let next_a = &next_a;
-                let next_b = &next_b;
-                let slots = &slots;
-                let feeder = &feeder;
-                scope.spawn(move || {
-                    let claim = |counter: &AtomicUsize, k: usize| {
-                        if pin {
-                            let i = me + k * workers;
-                            (i < shard_count).then_some(i)
-                        } else {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            (i < shard_count).then_some(i)
-                        }
-                    };
-                    let mut epoch: u64 = 0;
-                    loop {
-                        if sync.wait().is_leader() {
-                            next_b.store(0, Ordering::Relaxed);
-                            // Refill phase: deliver everything due by the
-                            // next barrier while the other workers hold at
-                            // the barrier below. Shards that received
-                            // arrivals have their idle flags cleared here,
-                            // so the unanimous check cannot terminate with
-                            // undispatched pending users.
-                            let mut feeder = feeder.lock().expect("feeder poisoned");
-                            feeder.refill_slots(
-                                slots,
-                                idle,
-                                barrier_time(tick, epoch + 1).min(horizon),
-                            );
-                            stream_done.store(feeder.exhausted(), Ordering::SeqCst);
-                        }
-                        sync.wait();
-                        let all_idle = idle.iter().all(|flag| flag.load(Ordering::SeqCst));
-                        if (all_idle && stream_done.load(Ordering::SeqCst))
-                            || barrier_time(tick, epoch) >= horizon
-                        {
-                            break;
-                        }
-                        epoch += 1;
-                        let t = barrier_time(tick, epoch);
-                        let limit = t.min(horizon);
-                        // Phase A: local events, then movement.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_a, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            shard.run_events(limit);
-                            if t <= horizon {
-                                for (target, migrant) in shard.run_movement(t) {
-                                    mailboxes[target]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .push(migrant);
-                                }
-                            }
-                        }
-                        if sync.wait().is_leader() {
-                            next_a.store(0, Ordering::Relaxed);
-                        }
-                        if t > horizon {
-                            break;
-                        }
-                        // Phase B: inbound handoffs, then the epoch pulse.
-                        let mut k = 0;
-                        while let Some(i) = claim(next_b, k) {
-                            k += 1;
-                            let mut shard = slots[i].lock().expect("shard slot poisoned");
-                            let mut inbox = std::mem::take(
-                                &mut *mailboxes[i].lock().expect("mailbox poisoned"),
-                            );
-                            sort_migrants(&mut inbox);
-                            shard.run_admissions(t, inbox);
-                            shard.sample_cells(t);
-                            idle[i].store(shard.idle(), Ordering::SeqCst);
-                        }
-                    }
-                    epoch
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
     })
     .expect("shard scope failed");
-
-    let first = epochs[0];
-    debug_assert!(epochs.iter().all(|&e| e == first), "workers disagreed on epoch count");
-    first
+    debug_assert!(epochs.iter().all(|&e| e == epochs[0]), "workers disagreed on epoch count");
+    epochs[0]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::Point;
-    use crate::metrics::CellLoadSeries;
+    use crate::metrics::{CellLoadSeries, DecisionRecord};
     use facs_cac::policies::CompleteSharing;
     use facs_cac::{AdmissionController, AdmissionPlan, CallRequest, Decision, ServiceClass};
 
@@ -1179,36 +897,63 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_pinned_drivers_match_sequential_bit_for_bit() {
+    fn pooled_driver_matches_single_worker_bit_for_bit() {
         // Force worker counts explicitly: auto-sizing on a small CI box
-        // may resolve to the sequential driver, and the stealing/pinned
-        // paths must be exercised regardless of the host's core count.
-        let run = |shards: usize, workers: usize, pin_shards: bool| {
+        // may resolve to one worker, and both the inline and the
+        // stealing paths must be exercised regardless of the host's core
+        // count.
+        let run = |shards: usize, workers: usize| {
             let grid = HexGrid::new(2, 2.0);
             let config = SimulationConfig {
                 movement_tick_s: 2.0,
                 seed: 7,
                 shards,
                 workers,
-                pin_shards,
                 ..Default::default()
             };
             let mut sim = Simulation::new(grid, config, controllers(19));
             sim.run(walker_workload(200))
         };
-        let single = run(1, 1, false);
+        let single = run(1, 1);
         for shards in [2, 3, 7] {
-            for workers in [2, 3] {
-                for pin_shards in [false, true] {
-                    assert_eq!(
-                        single,
-                        run(shards, workers, pin_shards),
-                        "{shards} shards / {workers} workers (pin={pin_shards}) diverged"
-                    );
-                }
+            for workers in [1, 2, 3] {
+                assert_eq!(
+                    single,
+                    run(shards, workers),
+                    "{shards} shards / {workers} workers diverged"
+                );
             }
         }
         assert!(single.handoff_attempts > 0, "workload should exercise handoffs");
+    }
+
+    #[test]
+    fn unsorted_eager_input_is_decided_in_time_order() {
+        // User 0 arrives last, after users 1..=4 have filled the cell
+        // with video calls: decided in (time, index) order it is blocked,
+        // while index order would admit it and block user 4 instead.
+        struct Decisions(Vec<(u64, bool)>);
+        impl MetricsSink for Decisions {
+            fn fork(&self) -> Self {
+                Decisions(Vec::new())
+            }
+            fn absorb(&mut self, other: Self) {
+                self.0.extend(other.0);
+            }
+            fn on_decision(&mut self, _now: SimTime, _cell: CellId, record: &DecisionRecord) {
+                self.0.push((record.user.0, record.admitted));
+            }
+        }
+        let mut workload = vec![stationary_spec(5.0, ServiceClass::Video, 1_000.0)];
+        workload
+            .extend((1..=4).map(|i| stationary_spec(i as f64 * 0.5, ServiceClass::Video, 1_000.0)));
+        let mut sim = Simulation::new(
+            HexGrid::single_cell(10.0),
+            SimulationConfig::default(),
+            controllers(1),
+        );
+        let Decisions(decisions) = sim.run_with(workload, Decisions(Vec::new()));
+        assert_eq!(decisions, [(1, true), (2, true), (3, true), (4, true), (0, false)]);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Deterministic discrete-event queue.
 //!
-//! Events at equal timestamps pop in insertion order (a monotonically
-//! increasing sequence number breaks ties), so runs are bit-reproducible
-//! regardless of heap internals.
+//! Events pop in an order defined by their contents alone — never by
+//! insertion order — so runs are bit-reproducible however events are
+//! spread across shard queues.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-use facs_cac::{CallId, CellId};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -21,129 +19,12 @@ impl std::fmt::Display for UserId {
     }
 }
 
-/// The events driving the cellular simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A user issues a new-call request at its located cell.
-    Arrival {
-        /// The requesting user.
-        user: UserId,
-    },
-    /// An admitted call's holding time expires.
-    CallEnd {
-        /// The finishing call.
-        call: CallId,
-        /// The user holding it.
-        user: UserId,
-        /// The cell the call was last served by (stale values are
-        /// revalidated against the live ledger on dispatch).
-        cell: CellId,
-    },
-    /// Advance all mobile terminals and process boundary crossings.
-    MovementTick,
-}
-
-#[derive(Debug, Clone)]
-struct Scheduled {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// A time-ordered event queue with deterministic tie-breaking.
-///
-/// Legacy: ties break in *insertion* order, which is only reproducible
-/// within a single queue. Kernel code must use [`EngineQueue`], whose
-/// order is defined by event contents and therefore survives any
-/// partitioning of events across shard queues.
-///
-/// # Examples
-///
-/// ```
-/// use facs_cellsim::events::{Event, EventQueue, UserId};
-/// use facs_cellsim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs_f64(2.0), Event::MovementTick);
-/// q.schedule(SimTime::from_secs_f64(1.0), Event::Arrival { user: UserId(0) });
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!(t, SimTime::from_secs_f64(1.0));
-/// assert!(matches!(e, Event::Arrival { .. }));
-/// ```
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// The timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// The events of the sharded epoch kernel ([`crate::engine`]).
 ///
-/// Unlike [`Event`], which relies on insertion order for tie-breaking
-/// (and is therefore only deterministic within a single queue), an
-/// `EngineEvent` carries everything needed for a **shard-independent**
-/// total order: at equal timestamps, call-ends sort before arrivals
-/// (capacity is freed before new decisions are made), then by user id,
-/// then by handoff generation. Any partition of the event set across
+/// An `EngineEvent` carries everything needed for a
+/// **shard-independent** total order: at equal timestamps, call-ends
+/// sort before arrivals (capacity is freed before new decisions are
+/// made), then by user id, then by handoff generation. Any partition of the event set across
 /// shard queues therefore preserves each cell's event sequence exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineEvent {
@@ -472,40 +353,29 @@ mod tests {
         SimTime::from_secs_f64(secs)
     }
 
+    fn arrival(user: u64) -> EngineEvent {
+        EngineEvent::Arrival { user: UserId(user) }
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(3.0), Event::MovementTick);
-        q.schedule(t(1.0), Event::Arrival { user: UserId(1) });
-        q.schedule(t(2.0), Event::Arrival { user: UserId(2) });
+        let mut q = EngineQueue::new();
+        q.schedule(t(3.0), arrival(0));
+        q.schedule(t(1.0), arrival(1));
+        q.schedule(t(2.0), arrival(2));
         let order: Vec<f64> =
             std::iter::from_fn(|| q.pop()).map(|(tm, _)| tm.as_secs_f64()).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
-    fn equal_times_pop_in_insertion_order() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(t(5.0), Event::Arrival { user: UserId(i) });
-        }
-        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Arrival { user } => user.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1.0), Event::MovementTick);
+        let mut q = EngineQueue::new();
+        q.schedule(t(1.0), arrival(0));
         let (t1, _) = q.pop().unwrap();
         assert_eq!(t1, t(1.0));
-        q.schedule(t(0.5), Event::MovementTick); // in the past relative to t1 — still pops
-        q.schedule(t(2.0), Event::MovementTick);
+        q.schedule(t(0.5), arrival(1)); // in the past relative to t1 — still pops
+        q.schedule(t(2.0), arrival(2));
         assert_eq!(q.pop().unwrap().0, t(0.5));
         assert_eq!(q.pop().unwrap().0, t(2.0));
         assert!(q.pop().is_none());
@@ -600,11 +470,11 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        let mut q = EventQueue::new();
+        let mut q = EngineQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.schedule(t(4.0), Event::MovementTick);
-        q.schedule(t(2.0), Event::MovementTick);
+        q.schedule(t(4.0), arrival(0));
+        q.schedule(t(2.0), arrival(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(t(2.0)));
         q.pop();

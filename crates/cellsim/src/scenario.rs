@@ -22,9 +22,9 @@
 
 use facs_cac::{BandwidthUnits, BoxedController, ServiceProfileSet};
 
+use crate::engine::{Simulation, SimulationConfig, UserSpec};
 use crate::geometry::HexGrid;
 use crate::metrics::{Metrics, Series};
-use crate::network::{Simulation, SimulationConfig, UserSpec};
 use crate::stats::Summary;
 use crate::traffic::{HoldingTimes, TrafficMix};
 use crate::workload::{Workload, WorkloadStream};
@@ -190,7 +190,6 @@ impl ScenarioConfig {
             seed: seed ^ 0x5EED_0001,
             shards: self.shards,
             workers: self.workers,
-            ..SimulationConfig::default()
         }
     }
 

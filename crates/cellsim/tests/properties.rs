@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use facs_cac::policies::GuardChannel;
 use facs_cac::{BandwidthUnits, BoxedController};
 use facs_cellsim::erlang::erlang_b;
-use facs_cellsim::events::{EngineEvent, EngineQueue, Event, EventQueue, UserId};
+use facs_cellsim::events::{EngineEvent, EngineQueue, UserId};
 use facs_cellsim::geometry::{HexCoord, HexGrid, Point};
 use facs_cellsim::mobility::{MobileState, MobilityModel, Walker};
 use facs_cellsim::rng::SimRng;
@@ -95,28 +95,6 @@ proptest! {
         prop_assume!(d > 1e-6);
         let stepped = from.step(from.bearing_to(to), d);
         prop_assert!(stepped.distance_to(to) < 1e-9 * (1.0 + d));
-    }
-
-    /// The event queue is a stable priority queue: pops are sorted by
-    /// time, ties in insertion order.
-    #[test]
-    fn event_queue_stable_order(times in prop::collection::vec(0u64..1000, 1..100)) {
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(
-                SimTime::from_micros(t),
-                Event::Arrival { user: UserId(i as u64) },
-            );
-        }
-        let mut last: Option<(SimTime, u64)> = None;
-        while let Some((time, event)) = queue.pop() {
-            let Event::Arrival { user } = event else { unreachable!() };
-            if let Some((lt, lu)) = last {
-                prop_assert!(time > lt || (time == lt && user.0 > lu),
-                    "order violated: ({time}, {user}) after ({lt}, {lu})");
-            }
-            last = Some((time, user.0));
-        }
     }
 
     /// The walker conserves speed and moves at most speed × time.
